@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.bench import Metric, bench_seed, register, shape_max, shape_min
+from repro.bench import Metric, bench_seed, register, shape_min
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.core.telemetry import format_perf_report, perf_report, reset_perf_counters
@@ -223,18 +223,12 @@ def run_e2e_once():
         array.read("v", index * E2E_WRITE_SIZE, E2E_WRITE_SIZE)
     read_seconds = time.perf_counter() - start
     total_bytes = E2E_WRITES * E2E_WRITE_SIZE
-    segio_pool = array.segwriter.buffer_pool
-    read_pool = array.datapath.read_pool
     return {
         "write_seconds": write_seconds,
         "write_mb_per_s": total_bytes / MIB / write_seconds,
         "read_seconds": read_seconds,
         "read_mb_per_s": total_bytes / MIB / read_seconds,
         "data_reduction": round(array.reduction_report().data_reduction, 3),
-        "segio_pool": dict(segio_pool.counters(),
-                           hit_rate=round(segio_pool.hit_rate, 4)),
-        "read_pool": dict(read_pool.counters(),
-                          hit_rate=round(read_pool.hit_rate, 4)),
     }
 
 
@@ -324,20 +318,6 @@ def collect():
         Metric("e2e_data_reduction",
                results["e2e"]["optimized"]["data_reduction"], "x",
                shape_min(1.5, paper="dedup-heavy mix still reduces")),
-        # Buffer-pool efficacy on the flush and read paths: recycled
-        # segio payload / read paint buffers instead of fresh
-        # allocations. Counts are seed-determined, not wall-clock.
-        Metric("e2e_segio_pool_hit_rate",
-               results["e2e"]["optimized"]["segio_pool"]["hit_rate"],
-               "fraction",
-               shape_min(0.9, paper="steady-state flush reuses buffers")),
-        Metric("e2e_segio_pool_allocations",
-               results["e2e"]["optimized"]["segio_pool"]["misses"],
-               "buffers",
-               shape_max(4, paper="allocations bounded by pool depth")),
-        Metric("e2e_read_pool_hit_rate",
-               results["e2e"]["optimized"]["read_pool"]["hit_rate"],
-               "fraction", shape_min(0.5)),
     ]
 
 

@@ -25,7 +25,6 @@ from repro.dedup.inline import InlineDeduper
 from repro.errors import SnapshotError, VolumeError
 from repro.layout.segment import SegmentDescriptor
 from repro.mediums.medium import MEDIUM_NONE
-from repro.parallel.workers import compress_cblocks
 from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
@@ -143,11 +142,6 @@ class DataPath:
         #: Observability handle (see :mod:`repro.obs`); the array wires
         #: its own in. None-safe: standalone datapaths trace nothing.
         self.obs = None
-        #: Parallel executor (see :mod:`repro.parallel`); None-safe —
-        #: standalone datapaths compress serially inline.
-        self.parallel = None
-        #: Recycled read paint buffers; None-safe (fresh bytearrays).
-        self.read_pool = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
         #: array. Gates writes (read-only rung) and forces write-through
         #: flushing while the NVRAM mirror is torn.
@@ -310,13 +304,8 @@ class DataPath:
         # write half of a partial overwrite. Uniform-size rewrites never
         # displace a tail, so the common path is untouched.
         tail = self._displaced_tail(medium_id, offset, len(data))
-        chunks = list(split_write(offset, data))
-        blobs = self._speculate_compress(chunks)
-        for index, (cblock_offset, chunk) in enumerate(chunks):
-            self._process_cblock(
-                medium_id, cblock_offset, chunk,
-                precompressed=None if blobs is None else blobs[index],
-            )
+        for cblock_offset, chunk in split_write(offset, data):
+            self._process_cblock(medium_id, cblock_offset, chunk)
         if tail is not None:
             tail_offset, tail_bytes = tail
             self._ingest(medium_id, tail_offset, tail_bytes)
@@ -342,28 +331,7 @@ class DataPath:
         self._paint(medium_id, end, tail_end - end, buffer, 0, 0, [0.0])
         return end, bytes(buffer)
 
-    def _speculate_compress(self, chunks):
-        """Precompress whole cblocks in the worker pool, ahead of dedup.
-
-        Speculative: a chunk's blob is adopted only when inline dedup
-        leaves the entire chunk unique — exactly the case where the
-        serial path would compress the identical bytes, so adoption is
-        byte-for-byte equivalent. The map runs with ``record=False``
-        (no spans, no counters) so traces stay byte-identical across
-        worker counts; at ``workers=0`` it never runs at all.
-        """
-        executor = self.parallel
-        if (executor is None or not self.config.inline_compression
-                or not executor.should_speculate(len(chunks))):
-            return None
-        level = self.config.compression_level
-        items = [(bytes(chunk), level) for _offset, chunk in chunks]
-        return executor.map(
-            "parallel.compress", compress_cblocks, items,
-            costs=[len(data) for data, _level in items], record=False,
-        )
-
-    def _process_cblock(self, medium_id, offset, chunk, precompressed=None):
+    def _process_cblock(self, medium_id, offset, chunk):
         obs = self.obs
         if self.config.inline_dedup:
             span = None
@@ -388,12 +356,9 @@ class DataPath:
             self._record_dedup_extent(medium_id, offset + match.byte_start, match)
             cursor = match.byte_start + match.byte_length
         if cursor < len(chunk):
-            self._store_unique(
-                medium_id, offset + cursor, chunk[cursor:],
-                precompressed=precompressed if not matches else None,
-            )
+            self._store_unique(medium_id, offset + cursor, chunk[cursor:])
 
-    def _store_unique(self, medium_id, offset, data, precompressed=None):
+    def _store_unique(self, medium_id, offset, data):
         """Compress + append one unique cblock, record its extent."""
         compressor = self.compressor if self.config.inline_compression else None
         if compressor is None:
@@ -404,10 +369,7 @@ class DataPath:
         tracing = obs is not None and obs.tracing
         span = obs.begin("compress", nbytes=len(data)) if tracing else None
         with PERF.timer("compress"):
-            if precompressed is not None:
-                blob, codec_id = precompressed
-            else:
-                blob, codec_id = build_cblock(data, compressor)
+            blob, codec_id = build_cblock(data, compressor)
         if span is not None:
             obs.end(span, stored=len(blob))
         span = obs.begin("segio-append", nbytes=len(blob)) if tracing else None
@@ -466,15 +428,10 @@ class DataPath:
         """Read a byte range; returns (bytes, latency)."""
         if length <= 0:
             raise VolumeError("zero-length read")
-        pool = self.read_pool
-        buffer = pool.acquire(length) if pool is not None else bytearray(length)
+        buffer = bytearray(length)
         latencies = [0.0]
-        try:
-            self._paint(medium_id, offset, length, buffer, 0, 0, latencies)
-            return bytes(buffer), max(latencies)
-        finally:
-            if pool is not None:
-                pool.release(buffer)
+        self._paint(medium_id, offset, length, buffer, 0, 0, latencies)
+        return bytes(buffer), max(latencies)
 
     def _paint(self, medium_id, offset, length, buffer, dest, depth, latencies):
         """Fill ``buffer[dest:dest+length]`` with (medium, offset)'s data."""

@@ -13,7 +13,10 @@ sources, cheapest first:
    replaces is the 12 s baseline; the frontier scan is the 0.1 s fix.)
 3. **NVRAM** — commit records not yet trimmed: metadata facts are
    unioned in, raw application writes are replayed through the data
-   path.
+   path. Replayed writes derive address-map facts with fresh sequence
+   numbers, so address-map facts committed *after* a replayed write
+   (unmap holes, GC relocations) are re-stamped behind it: the
+   recovered index keeps commit order.
 
 Because all tuples are immutable facts, recovery is a set union —
 re-inserting anything already present is harmless.
@@ -213,20 +216,24 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
     array.segwriter.set_next_segment_id(max_segment_id + 1)
     report.extra["torn_log_records"] = torn_log_records
 
-    # 4. NVRAM: union metadata facts, queue raw writes for replay.
+    # 4. NVRAM: union metadata facts, queue raw writes for replay —
+    # together with any address-map facts committed after a queued
+    # write, which must land after that write's replay too.
     batches, nvram_latency = array.pipeline.wal.recovery_scan()
     report.nvram_latency = nvram_latency
-    raw_writes = []
+    replay = []  # ("write", fact) / ("extents", facts), in commit order
     nvram_max_seq = 0
     for relation_name, facts in batches:
         for fact in facts:
             nvram_max_seq = max(nvram_max_seq, fact.seqno)
         if relation_name == T.RAW_WRITES:
-            raw_writes.extend(facts)
+            replay.extend(("write", fact) for fact in facts)
             continue
         for fact in facts:
             array.tables[relation_name].insert_fact(fact)
             report.facts_recovered += 1
+        if relation_name == T.ADDRESS_MAP and replay:
+            replay.append(("extents", facts))
 
     # 5. Sequence numbers must outrun everything recovered before replay
     # — sequence numbers are never reused (Section 4.10) — and every
@@ -237,11 +244,18 @@ def _recover_body(array, boot_region, clock, full_scan, warm_cache_fraction):
     report.extra["elides_replayed"] = array.pipeline.replay_elides()
     _restore_medium_counter(array)
 
-    # 6. Replay raw writes, in NVRAM (= commit) order.
+    # 6. Replay raw writes, in NVRAM (= commit) order. A replayed
+    # write's facts get fresh sequence numbers, so later address-map
+    # facts are re-stamped after it or the write would shadow them.
     replay_start = clock.now
-    for fact in raw_writes:
-        medium_id, offset = fact.key
-        array.datapath.process_write(medium_id, offset, fact.value[0])
+    for kind, item in replay:
+        if kind == "extents":
+            for fact in item:
+                array.pipeline.insert_derived(T.ADDRESS_MAP, fact.key,
+                                              fact.value)
+            continue
+        medium_id, offset = item.key
+        array.datapath.process_write(medium_id, offset, item.value[0])
         report.raw_writes_replayed += 1
     report.replay_latency = clock.now - replay_start
 

@@ -15,18 +15,13 @@ from repro.layout.segment import SegioHeader
 class OpenSegio:
     """One segio being filled in controller RAM."""
 
-    def __init__(self, geometry, descriptor, segio_index, buffer_pool=None):
+    def __init__(self, geometry, descriptor, segio_index):
         self.geometry = geometry
         self.descriptor = descriptor
         self.segio_index = segio_index
-        #: Payload accumulation buffer, recycled through the writer's
-        #: buffer pool when one is wired (acquire returns it zeroed, so
-        #: the gap/zero-fill contract holds either way).
-        self._buffer_pool = buffer_pool
-        if buffer_pool is not None:
-            self._payload = buffer_pool.acquire(geometry.payload_per_segio)
-        else:
-            self._payload = bytearray(geometry.payload_per_segio)
+        #: Payload accumulation buffer (starts zeroed, so unwritten gap
+        #: bytes read as zeros).
+        self._payload = bytearray(geometry.payload_per_segio)
         self._front = 0  # next data byte (from the front)
         self._back = geometry.payload_per_segio  # log region grows downward
         self._log_locators = []
@@ -109,7 +104,7 @@ class OpenSegio:
         base = self.payload_base()
         within = payload_offset - base
         if self._payload is None:
-            return None  # buffer already recycled; data is on the drives
+            return None  # payload already dropped; data is on the drives
         if within < 0 or within + length > self.geometry.payload_per_segio:
             return None
         return bytes(self._payload[within : within + length])
@@ -118,29 +113,23 @@ class OpenSegio:
         if self.finalized:
             raise RuntimeError("segio already finalized")
 
-    def release_buffer(self):
-        """Return the payload buffer to the pool after a flush.
+    def drop_payload(self):
+        """Free the payload buffer after a flush.
 
         Only legal once finalized: the write units hold their own
-        copies by then, so nothing references the accumulation buffer.
-        The slot is cleared so a stale read fails closed (None), never
-        serves recycled bytes.
+        copies by then. The slot is cleared so a stale read fails
+        closed (None) instead of serving RAM the drives may disagree
+        with.
         """
-        if not self.finalized or self._payload is None:
-            return
-        buffer, self._payload = self._payload, None
-        if self._buffer_pool is not None:
-            self._buffer_pool.release(buffer)
+        if self.finalized:
+            self._payload = None
 
-    def finalize(self, codec, parallel=None):
+    def finalize(self, codec):
         """Seal the segio; returns the write units to put on each drive.
 
         ``codec`` is the Reed–Solomon codec for this geometry. Returns a
         list of ``total_shards`` byte strings, each exactly one write
         unit (replicated header + shard body), data shards first.
-        ``parallel`` (a :class:`repro.parallel.ParallelExecutor`) fans
-        the parity encode out over column chunks; the bytes are
-        identical with or without it.
         """
         self._check_open()
         self.finalized = True
@@ -152,10 +141,7 @@ class OpenSegio:
         data_shards = self.geometry.data_shards
         payload_view = np.frombuffer(self._payload, dtype=np.uint8)
         matrix = payload_view.reshape(data_shards, payload_view.size // data_shards)
-        if parallel is not None:
-            parity = parallel.rs_encode(codec, matrix)
-        else:
-            parity = codec.encode_stripes(matrix)
+        parity = codec.encode_stripes(matrix)
         write_units = []
         all_shards = [matrix[index] for index in range(data_shards)]
         all_shards.extend(parity[index] for index in range(len(parity)))

@@ -56,15 +56,10 @@ class SegmentWriter:
         #: Observability handle (see :mod:`repro.obs`); wired by the
         #: array, None-safe for standalone writers.
         self.obs = None
-        #: Parallel executor for the RS encode fan-out and the buffer
-        #: pool recycling segio payloads; both wired by the array and
-        #: None-safe for standalone writers.
-        self.parallel = None
         #: Optional :class:`repro.degrade.DegradeEngine`; wired by the
         #: array. Flushes that skip failed drives charge the stripe to
         #: the repair-debt ledger so rebuild knows what it owes.
         self.degrade = None
-        self.buffer_pool = None
         self._segment_ids = itertools.count(1)
         self._descriptor = None
         self._segio = None
@@ -113,8 +108,7 @@ class SegmentWriter:
         ):
             self._open_segment()
         self._segio = OpenSegio(
-            self.geometry, self._descriptor, self._next_segio_index,
-            buffer_pool=self.buffer_pool,
+            self.geometry, self._descriptor, self._next_segio_index
         )
         self._next_segio_index += 1
 
@@ -216,7 +210,7 @@ class SegmentWriter:
                 cp.hit("segwriter.pre-flush", descriptor=segio.descriptor)
             encode_span = obs.begin("rs-encode") if tracing else None
             with PERF.timer("segio-flush"):
-                write_units = segio.finalize(self.codec, parallel=self.parallel)
+                write_units = segio.finalize(self.codec)
             if encode_span is not None:
                 obs.end(encode_span, shards=len(write_units))
         except BaseException:
@@ -285,9 +279,7 @@ class SegmentWriter:
         self.segios_flushed += 1
         if self.on_segio_flushed is not None:
             self.on_segio_flushed(descriptor, segio)
-        # The write units hold their own copies now; recycle the
-        # accumulation buffer. (A crash above leaks it instead — the
-        # pool must never hand out a buffer a torn flush still holds.)
-        segio.release_buffer()
+        # The write units hold their own copies now.
+        segio.drop_payload()
         self._segio = None
         return elapsed

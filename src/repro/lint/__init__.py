@@ -21,9 +21,9 @@ Since puritylint v2 the per-file rules are joined by *whole-program*
 rules (:class:`~repro.lint.rule.ProjectRule`): a project symbol/import/
 call graph (:mod:`repro.lint.graph`) classifies functions into
 execution domains (:mod:`repro.lint.domains`) and powers the
-interprocedural checks — worker-purity propagation, the cross-domain
-shared-state detector, nondeterministic set iteration, and full
-name-registry reconciliation. An incremental file-hash cache
+interprocedural checks — the cross-domain shared-state detector,
+nondeterministic set iteration, and full name-registry
+reconciliation. An incremental file-hash cache
 (:mod:`repro.lint.cache`, ``.lint-cache.json``) keeps the
 whole-program pass fast on warm runs.
 

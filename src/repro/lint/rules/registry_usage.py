@@ -13,8 +13,8 @@ This rule closes the two gaps literals leave open:
   other direction: the report renders an empty table and nobody knows
   why. Every entry must be *used* somewhere outside the registry
   modules — matched by a literal anywhere in the linted tree, a folded
-  name, or a partially-folded pattern (``"%s.hits" % self.name``
-  becomes ``.*\\.hits`` and keeps ``pool.segio.hits`` alive).
+  name, or a partially-folded pattern (``"service.%s" % request.op``
+  becomes ``service\\..*`` and keeps ``service.read`` alive).
 
 Registries are parsed from the linted tree itself (constant folding
 handles ``CRASHPOINTS = CRASHPOINT_CHOICES + (...)``), so fixture
@@ -33,7 +33,6 @@ REGISTRIES = (
     ("event", "repro.obs.names", "EVENT_NAMES"),
     ("metric", "repro.obs.names", "METRIC_NAMES"),
     ("crashpoint", "repro.faults.plan", "CRASHPOINTS"),
-    ("stage", "repro.parallel.names", "STAGE_NAMES"),
 )
 
 
@@ -45,15 +44,14 @@ class RegistryResolution(ProjectRule):
                "the registries, and every registry entry must be used")
     rationale = (
         "The obs registries (repro.obs.names, repro.faults.plan\n"
-        "CRASHPOINTS, repro.parallel.names) are the contract between\n"
-        "instrumented call sites and report joins. The per-file rule\n"
-        "catches literal typos; this rule folds assembled names\n"
-        "(f-strings, %-formats, constant references) project-wide and\n"
-        "resolves them the same way, and then reconciles the other\n"
-        "direction: an entry no call site, folded name, or pattern can\n"
-        "produce is dead — the report column it feeds will always be\n"
-        "empty, which is exactly the silent drift the registry exists\n"
-        "to prevent."
+        "CRASHPOINTS) are the contract between instrumented call sites\n"
+        "and report joins. The per-file rule catches literal typos;\n"
+        "this rule folds assembled names (f-strings, %-formats,\n"
+        "constant references) project-wide and resolves them the same\n"
+        "way, and then reconciles the other direction: an entry no call\n"
+        "site, folded name, or pattern can produce is dead — the report\n"
+        "column it feeds will always be empty, which is exactly the\n"
+        "silent drift the registry exists to prevent."
     )
     example = (
         "PREFIX = \"poool\"                  # typo'd constant\n"

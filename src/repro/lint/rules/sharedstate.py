@@ -4,8 +4,6 @@ A module-level mutable written from exactly one execution domain is a
 (possibly ugly) cache. The same binding written from *two* domains is a
 race against the determinism contract:
 
-* main + worker: the serial path mutates the shared module, the pooled
-  path mutates a fork's copy — same seed, different bytes.
 * any cluster message handler: every in-process ``ArrayNode`` shares
   the interpreter, so a module-level write from ``handle_*`` is state
   shared between nodes that are modelled as separate machines.
@@ -15,11 +13,12 @@ race against the determinism contract:
 
 Writes are aggregated per (module, binding) over the whole graph, each
 writer tagged with its domains; the finding lands on every write site
-of an offending binding so a pragma must be argued for at each one.
+of an offending binding, naming every writer, so a pragma must be
+argued for at each one.
 """
 
 from repro.lint.domains import (CLUSTER_HANDLER, MAIN, SIM_CALLBACK,
-                                WORKER, build_domains)
+                                build_domains)
 from repro.lint.rule import ProjectRule, register
 
 
@@ -28,17 +27,17 @@ class CrossDomainSharedState(ProjectRule):
 
     id = "cross-domain-shared-state"
     summary = ("module-level mutables must not be written from more "
-               "than one execution domain (main/worker/sim-callback/"
+               "than one execution domain (main/sim-callback/"
                "cluster-handler)")
     rationale = (
-        "Execution domains have different sharing semantics: worker code\n"
-        "runs in forked pool processes (writes hit the fork's copy),\n"
-        "cluster handle_* methods run in every in-process node (writes\n"
-        "are accidentally cross-node), sim callbacks interleave at the\n"
-        "event queue's pleasure. A module-level mutable written from two\n"
-        "of these worlds — or from any cluster handler at all — is\n"
-        "shared state whose final value depends on which world ran,\n"
-        "which is exactly what same-seed byte-identity forbids."
+        "Execution domains have different sharing semantics: sim\n"
+        "callbacks run when the event queue says so, interleaved with\n"
+        "the main line, and cluster handle_* methods run in every\n"
+        "in-process node (writes are accidentally cross-node). A\n"
+        "module-level mutable written from two of these worlds — or from\n"
+        "any cluster handler at all — is shared state whose final value\n"
+        "depends on which world ran last, which is exactly what\n"
+        "same-seed byte-identity forbids."
     )
     example = (
         "_SEEN = set()            # module-level mutable\n"
@@ -46,15 +45,17 @@ class CrossDomainSharedState(ProjectRule):
         "def record(key):         # called from the main line\n"
         "    _SEEN.add(key)\n"
         "\n"
-        "@pure_worker\n"
-        "def scan(chunk):         # ...and from the worker domain\n"
-        "    _SEEN.add(chunk.key) # -> cross-domain-shared-state\n"
-        "    return summarize(chunk)\n"
+        "def arm(sim):\n"
+        "    sim.call_in(1.0, expire)\n"
+        "\n"
+        "def expire():            # ...and from a sim callback\n"
+        "    _SEEN.clear()        # -> cross-domain-shared-state\n"
     )
 
     def check_project(self, graph):
         domains = build_domains(graph)
-        # (module, name) -> [(writer_domains, rel_path, lineno, qualname)]
+        # (module, name) -> [(writer_domains, rel_path, lineno, qualname,
+        #                     writer_module)]
         writes = {}
         for module, qualname, info in graph.iter_functions():
             writer_domains = domains.domains_of(module, qualname)
@@ -62,22 +63,18 @@ class CrossDomainSharedState(ProjectRule):
             for target_module, name, lineno in info["writes"]:
                 owner = target_module or module
                 writes.setdefault((owner, name), []).append(
-                    (frozenset(writer_domains), rel_path, lineno, qualname))
+                    (frozenset(writer_domains), rel_path, lineno, qualname,
+                     module))
 
         for (owner, name) in sorted(writes):
             sites = writes[(owner, name)]
             union = set()
-            for writer_domains, _, _, _ in sites:
+            for writer_domains, _, _, _, _ in sites:
                 union.update(writer_domains)
             union.discard("hot")  # hot is a perf tag, not a sharing domain
-            cross = len(union & {MAIN, WORKER, SIM_CALLBACK,
-                                 CLUSTER_HANDLER}) > 1
+            cross = len(union & {MAIN, SIM_CALLBACK, CLUSTER_HANDLER}) > 1
             handler_write = CLUSTER_HANDLER in union
             if not cross and not handler_write:
-                continue
-            if union == {WORKER}:
-                # All-worker writes are worker-transitive-purity's
-                # finding; do not report the same sites twice.
                 continue
             reason = ("is written from domains {%s}"
                       % ", ".join(sorted(union)))
@@ -85,11 +82,13 @@ class CrossDomainSharedState(ProjectRule):
                 reason = ("is written from a cluster message handler — "
                           "in-process nodes share the interpreter, so "
                           "this is cross-node shared state")
-            for writer_domains, rel_path, lineno, qualname in sorted(
+            writers = ", ".join(sorted({"%s.%s" % (site[4], site[3])
+                                        for site in sites}))
+            for writer_domains, rel_path, lineno, qualname, _ in sorted(
                     sites, key=lambda site: (site[1], site[2])):
                 yield self.project_finding(
                     graph, rel_path, lineno,
-                    "module-level mutable %r (in %s) %s; write here is "
-                    "from %r in domain {%s}"
-                    % (name, owner, reason, qualname,
+                    "module-level mutable %r (in %s) %s (writers: %s); "
+                    "write here is from %r in domain {%s}"
+                    % (name, owner, reason, writers, qualname,
                        ", ".join(sorted(writer_domains))))

@@ -64,6 +64,18 @@ def test_recovery_preserves_overwrite_order(array, volume, stream):
     assert data == new
 
 
+def test_recovery_keeps_an_unmap_after_an_undrained_write(array, volume,
+                                                          stream):
+    # Both the raw write and the later hole sit in NVRAM; replaying the
+    # write must not resurrect the bytes the unmap punched out.
+    array.write(volume, 0, unique_bytes(8 * KIB, stream))
+    array.unmap(volume, 0, 4 * KIB)
+    recovered, report = crash_and_recover(array)
+    assert report.raw_writes_replayed == 1
+    data, _ = recovered.read(volume, 0, 4 * KIB)
+    assert data == bytes(4 * KIB)
+
+
 def test_recovery_preserves_snapshots(array, volume, stream):
     original = unique_bytes(4 * KIB, stream)
     array.write(volume, 0, original)

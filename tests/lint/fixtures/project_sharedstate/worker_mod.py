@@ -1,15 +1,11 @@
-"""Fixture: the same mutable written from the worker domain too."""
+"""Fixture: a background worker on the sim clock writes the same mutable."""
 
 import repro.state_mod as state_mod
 
 
-def pure_worker(func):
-    func.__pure_worker__ = True
-    return func
+def arm(sim):
+    sim.call_in(1.0, scan)
 
 
-@pure_worker
-def scan(items):
-    for item in items:
-        state_mod._SEEN.add(item)
-    return list(items)
+def scan():
+    state_mod._SEEN.add("tick")

@@ -1,13 +1,11 @@
-"""Fixture: the worker only *reads*; no cross-domain write."""
+"""Fixture: the sim-clock worker only *reads*; no cross-domain write."""
 
 import repro.state_mod as state_mod
 
 
-def pure_worker(func):
-    func.__pure_worker__ = True
-    return func
+def arm(sim):
+    sim.call_in(1.0, scan)
 
 
-@pure_worker
-def scan(items):
-    return [item for item in items if item not in state_mod._SEEN]
+def scan():
+    return len(state_mod._SEEN)

@@ -1,16 +1,12 @@
-"""Fixture: the worker-domain write carries its own pragma."""
+"""Fixture: the sim-callback write carries its own pragma."""
 
 import repro.state_mod as state_mod
 
 
-def pure_worker(func):
-    func.__pure_worker__ = True
-    return func
+def arm(sim):
+    sim.call_in(1.0, scan)
 
 
-@pure_worker
-def scan(items):
-    for item in items:
-        # lint: allow[cross-domain-shared-state] fixture: suppression under test
-        state_mod._SEEN.add(item)
-    return list(items)
+def scan():
+    # lint: allow[cross-domain-shared-state] fixture: suppression under test
+    state_mod._SEEN.add("tick")

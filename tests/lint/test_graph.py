@@ -88,26 +88,6 @@ def test_fold_string_collection_follows_cross_module_concat():
     assert [value for value, _ in entries] == ["a", "b"]
 
 
-def test_decorator_chains_are_recorded_dotted():
-    graph = build_graph_from_sources({
-        "src/repro/w.py": (
-            "import repro.parallel.workers as workers\n"
-            "from repro.parallel.workers import pure_worker\n"
-            "\n"
-            "@pure_worker\n"
-            "def plain(items):\n"
-            "    return items\n"
-            "\n"
-            "@workers.pure_worker\n"
-            "def dotted(items):\n"
-            "    return items\n"
-        ),
-    })
-    functions = graph.by_module["repro.w"]["functions"]
-    assert "pure_worker" in functions["plain"]["decorators"]
-    assert "workers.pure_worker" in functions["dotted"]["decorators"]
-
-
 def test_non_src_files_contribute_only_string_literals():
     graph = build_graph_from_sources({
         "tests/test_thing.py": (
