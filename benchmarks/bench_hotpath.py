@@ -29,7 +29,6 @@ import numpy as np
 from repro.bench import Metric, bench_seed, register, shape_min
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
-from repro.core.telemetry import format_perf_report, perf_report, reset_perf_counters
 from repro.dedup.hashing import sampled_sector_hashes, sector_hash, sector_hashes
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
@@ -251,16 +250,13 @@ def bench_e2e():
 
 
 def run_all():
-    reset_perf_counters()
-    results = {
+    return {
         "seed": SEED,
         "gf256": bench_gf256(),
         "rs_encode": bench_rs_encode(),
         "hashing": bench_hashing(),
         "e2e": bench_e2e(),
     }
-    results["perf_report"] = perf_report()
-    return results
 
 
 def summarize(results):
@@ -330,7 +326,6 @@ def test_hotpath_speedups(once):
 
     results = once(run_all)
     emit("hotpath_speedups", summarize(results))
-    print(format_perf_report(results["perf_report"]))
     # Regression thresholds sit below the recorded BENCH_hotpath.json
     # numbers to absorb machine noise while still catching real decay.
     assert results["rs_encode"]["speedup"] > 2.0
@@ -349,8 +344,6 @@ def main(argv=None):
     options = parser.parse_args(argv)
     results = run_all()
     print(summarize(results))
-    print()
-    print(format_perf_report(results["perf_report"]))
     if options.json:
         with open(options.json, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

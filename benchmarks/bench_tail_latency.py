@@ -17,7 +17,6 @@ from repro.analysis.reporting import format_table
 from repro.bench import Metric, bench_seed, register, shape_max, shape_min
 from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
-from repro.core.telemetry import format_perf_report, reset_perf_counters
 from repro.obs.export import metrics_lines
 from repro.obs.report import per_stage_table, series_table
 from repro.sim.distributions import percentile
@@ -70,7 +69,6 @@ def run_workload(read_around_writes, seed=None):
 
 
 def _run_ablation():
-    reset_perf_counters()
     with_scheduler, array_on = run_workload(True)
     without_scheduler, array_off = run_workload(False)
     return with_scheduler, array_on, without_scheduler, array_off
@@ -136,8 +134,6 @@ def test_read_around_writes_flattens_tail(once):
         rows,
         title="Tail latency: read around busy-writing drives "
               "(30%% writes, %d ops)" % OPERATIONS))
-    # Per-stage wall-time breakdown of the two workloads just driven.
-    emit("tail_latency_perf_stages", format_perf_report())
     # Per-stage *simulated* latency from the trace of the scheduler-on
     # run, plus the sampled queue-depth / cache-hit series.
     emit("tail_latency_obs_stages", per_stage_table(array_on.obs.records))

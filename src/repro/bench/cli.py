@@ -51,9 +51,6 @@ def build_parser():
                         help="list registered benches and exit")
     parser.add_argument("--out-dir", default=".", metavar="DIR",
                         help="where BENCH_*.json land (default: repo root)")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock stage timings in the JSON "
-                             "(breaks byte-for-byte determinism)")
     gate = parser.add_argument_group("regression gate")
     gate.add_argument("--check", action="store_true",
                       help="compare fresh results against the baseline; "
@@ -116,8 +113,7 @@ def main(argv=None):
         def progress(spec):
             print("running %s ..." % spec.name, flush=True)
 
-        documents = run_specs(specs, include_timings=options.timings,
-                              progress=progress)
+        documents = run_specs(specs, progress=progress)
         for document in documents.values():
             validate_document(document)
         paths = write_documents(documents, options.out_dir)

@@ -144,7 +144,7 @@ class Metric:
         return record
 
 
-def bench_record(spec, metrics, stages=None, obs_stages=None):
+def bench_record(spec, metrics, obs_stages=None):
     """The per-bench JSON object inside a group document."""
     record = {
         "bench": spec.name,
@@ -154,8 +154,6 @@ def bench_record(spec, metrics, stages=None, obs_stages=None):
         "metrics": [metric.record() for metric in metrics],
         "passed": all(metric.passed for metric in metrics),
     }
-    if stages:
-        record["stages"] = stages
     if obs_stages:
         record["obs_stages"] = obs_stages
     return record

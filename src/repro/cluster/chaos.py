@@ -35,7 +35,6 @@ from repro.faults.plan import (
     NET_PARTITION,
     FaultPlan,
 )
-from repro.perf import PERF
 from repro.sim.rand import RandomStream
 
 
@@ -149,7 +148,6 @@ class ClusterChaosHarness:
 
     def _violate(self, invariant, detail):
         self.report.violations.append((invariant, detail))
-        PERF.incr("cluster-chaos-invariant-violation")
         raise ClusterInvariantViolation(invariant, detail)
 
     # ------------------------------------------------------------------
@@ -161,7 +159,6 @@ class ClusterChaosHarness:
         self._events.append(event)
         if self.obs.tracing:
             self.obs.event("fault", kind=spec.kind, target=spec.target)
-        PERF.incr("cluster-chaos-fault")
 
     def _fire(self, op, spec):
         if spec.kind == ARRAY_KILL:
@@ -291,7 +288,6 @@ class ClusterChaosHarness:
                     self._fire(op, spec)
                 self._run_op(op)
                 self.report.ops += 1
-                PERF.incr("cluster-chaos-op")
                 if self.obs.tracing and (op + 1) % self.SAMPLE_EVERY == 0:
                     self.cluster.observe_sample()
                 if (op + 1) % self.maintenance_every == 0:
@@ -299,7 +295,6 @@ class ClusterChaosHarness:
             self._final_verify()
         except (DataLossError, UncorrectableError) as exc:
             self.report.data_loss = str(exc)
-            PERF.incr("cluster-chaos-data-loss-detected")
             self._violate(
                 "zero-acked-write-loss",
                 "detected loss under a survivable schedule: %s" % exc,

@@ -25,7 +25,6 @@ from repro.dedup.inline import InlineDeduper
 from repro.errors import SnapshotError, VolumeError
 from repro.layout.segment import SegmentDescriptor
 from repro.mediums.medium import MEDIUM_NONE
-from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
 #: Depth guard for medium recursion (GC keeps real chains <= 3).
@@ -38,8 +37,8 @@ class CBlockCache:
     Keys are (segment_id, payload_offset). A per-segment key index
     makes :meth:`invalidate_segment` proportional to the entries cached
     *for that segment* instead of a scan of the whole cache, and every
-    lookup/eviction/invalidation feeds both local counters (unit
-    tests) and the global perf counters (``perf_report()``).
+    lookup/eviction/invalidation bumps a local counter
+    (:meth:`counters`).
     """
 
     def __init__(self, capacity):
@@ -61,11 +60,9 @@ class CBlockCache:
         value = self._entries.get(key)
         if value is None:
             self.misses += 1
-            PERF.incr("cblock-cache-miss")
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        PERF.incr("cblock-cache-hit")
         return value
 
     def _drop_key_index(self, key):
@@ -86,7 +83,6 @@ class CBlockCache:
             evicted_key, _value = entries.popitem(last=False)
             self._drop_key_index(evicted_key)
             self.evictions += 1
-            PERF.incr("cblock-cache-eviction")
 
     def invalidate_segment(self, segment_id):
         """Drop every entry of one segment; returns how many went."""
@@ -96,7 +92,6 @@ class CBlockCache:
         for key in keys:
             del self._entries[key]
         self.invalidations += len(keys)
-        PERF.incr("cblock-cache-invalidation", len(keys))
         return len(keys)
 
     def clear(self):
@@ -264,10 +259,9 @@ class DataPath:
         if obs is not None and obs.tracing:
             span = obs.begin("nvram-commit", nbytes=len(data))
         try:
-            with PERF.timer("nvram-commit"):
-                _fact, latency = self.pipeline.commit_raw_write(
-                    medium_id, offset, data
-                )
+            _fact, latency = self.pipeline.commit_raw_write(
+                medium_id, offset, data
+            )
         except BaseException:
             if span is not None:
                 obs.end(span, crashed=True)
@@ -368,16 +362,14 @@ class DataPath:
         obs = self.obs
         tracing = obs is not None and obs.tracing
         span = obs.begin("compress", nbytes=len(data)) if tracing else None
-        with PERF.timer("compress"):
-            blob, codec_id = build_cblock(data, compressor)
+        blob, codec_id = build_cblock(data, compressor)
         if span is not None:
             obs.end(span, stored=len(blob))
         span = obs.begin("segio-append", nbytes=len(blob)) if tracing else None
         try:
-            with PERF.timer("segio-append"):
-                descriptor, payload_offset, flush_latency = (
-                    self.segwriter.append_data(blob)
-                )
+            descriptor, payload_offset, flush_latency = (
+                self.segwriter.append_data(blob)
+            )
         except BaseException:
             if span is not None:
                 obs.end(span, crashed=True)
@@ -403,8 +395,7 @@ class DataPath:
         default rate) were never going to be recorded, so hashing them
         here would be pure waste.
         """
-        with PERF.timer("hash"):
-            sampled = sampled_sector_hashes(data, self.config.dedup_sample_every)
+        sampled = sampled_sector_hashes(data, self.config.dedup_sample_every)
         for sector, value in sampled:
             self.dedup_index.record(
                 value,

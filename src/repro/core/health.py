@@ -26,7 +26,6 @@ machine is deterministic for a given workload and seed.
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.perf import PERF
 
 HEALTHY = "healthy"
 SUSPECT = "suspect"
@@ -113,20 +112,17 @@ class DriveHealthMonitor:
         dying. Corruption across *distinct* regions keeps scoring."""
         record = self.health_of(drive_name)
         record.corrupted_reads += 1
-        PERF.incr("health-corrupted-read")
         self._bad_event(record, weight=1, region=region)
 
     def note_stalled(self, drive_name):
         record = self.health_of(drive_name)
         record.stalled_reads += 1
-        PERF.incr("health-stalled-read")
         self._stall_event(record)
 
     def note_exhausted(self, drive_name, region=None):
         """All retries burned; the read fell through to reconstruction."""
         record = self.health_of(drive_name)
         record.exhausted_retries += 1
-        PERF.incr("health-retries-exhausted")
         self._bad_event(
             record,
             weight=_EXHAUSTED_WEIGHT,
@@ -163,13 +159,11 @@ class DriveHealthMonitor:
         if record.state == HEALTHY and score >= self.suspect_threshold:
             record.state = SUSPECT
             record.suspect_since = now
-            PERF.incr("health-drive-suspected")
         elif record.state == SUSPECT and score >= self.fail_threshold:
             record.state = FAILED
             record.failed_at = now
             record.events.clear()
             self.auto_failed.append(record.name)
-            PERF.incr("health-drive-auto-failed")
             if self.on_auto_fail is not None:
                 self.on_auto_fail(record.name)
 
@@ -185,7 +179,6 @@ class DriveHealthMonitor:
         if len(record.stall_events) >= self.stall_suspect_threshold:
             record.state = SUSPECT
             record.suspect_since = now
-            PERF.incr("health-drive-suspected")
 
     # ------------------------------------------------------------------
     # Reporting

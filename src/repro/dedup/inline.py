@@ -17,13 +17,11 @@ results are identical: both stop the run at the first differing sector
 or the cblock boundary.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dedup.hashing import sector_hash
-from repro.perf import PERF
 from repro.units import SECTOR
 
 
@@ -97,9 +95,8 @@ class InlineDeduper:
 
     def _verify(self, location, expected):
         self.verify_comparisons += 1
-        with PERF.timer("dedup-verify"):
-            actual = self.fetch_sector(location)
-            return actual is not None and actual == expected
+        actual = self.fetch_sector(location)
+        return actual is not None and actual == expected
 
     def find_matches(self, data):
         """Duplicate runs in ``data``; non-overlapping, sorted, verified.
@@ -117,18 +114,13 @@ class InlineDeduper:
             )
         total = len(view) // SECTOR
         hashes = [None] * total
-        hash_ns = 0
-        # lint: allow[wall-clock-purity] host-side perf accounting (charged to PERF); never enters sim state
-        monotonic_ns = time.monotonic_ns
         matches = []
         claimed_until = 0  # first sector not covered by an emitted match
         cursor = 0
         while cursor < total:
             value = hashes[cursor]
             if value is None:
-                start_ns = monotonic_ns()
                 value = sector_hash(view[cursor * SECTOR : (cursor + 1) * SECTOR])
-                hash_ns += monotonic_ns() - start_ns
                 hashes[cursor] = value
             location = self.index.lookup(value)
             if location is None:
@@ -156,7 +148,6 @@ class InlineDeduper:
                 cursor = run_end
             else:
                 cursor += 1
-        PERF.add_time("hash", hash_ns)
         return matches
 
     def _extend_forward(self, data, anchor, location, total):
@@ -175,13 +166,12 @@ class InlineDeduper:
         want = total - (anchor + 1)
         if want <= 0:
             return anchor + 1
-        with PERF.timer("dedup-verify"):
-            run = self.fetch_run(location.shifted(1), want)
-            if run is None:
-                return anchor + 1
-            got = len(run) // SECTOR
-            incoming = data[(anchor + 1) * SECTOR : (anchor + 1 + got) * SECTOR]
-            agreed = _common_sector_prefix(run, incoming)
+        run = self.fetch_run(location.shifted(1), want)
+        if run is None:
+            return anchor + 1
+        got = len(run) // SECTOR
+        incoming = data[(anchor + 1) * SECTOR : (anchor + 1 + got) * SECTOR]
+        agreed = _common_sector_prefix(run, incoming)
         self.verify_comparisons += max(1, min(agreed + 1, got))
         return anchor + 1 + agreed
 
@@ -207,12 +197,11 @@ class InlineDeduper:
         want = min(limit, anchor, location.sector_index)
         if want <= 0:
             return anchor, location
-        with PERF.timer("dedup-verify"):
-            run = self.fetch_run(location.shifted(-want), want)
-            agreed = 0
-            if run is not None and len(run) == want * SECTOR:
-                incoming = data[(anchor - want) * SECTOR : anchor * SECTOR]
-                agreed = _common_sector_suffix(run, incoming)
+        run = self.fetch_run(location.shifted(-want), want)
+        agreed = 0
+        if run is not None and len(run) == want * SECTOR:
+            incoming = data[(anchor - want) * SECTOR : anchor * SECTOR]
+            agreed = _common_sector_suffix(run, incoming)
         self.verify_comparisons += max(1, min(agreed + 1, want))
         start = anchor - agreed
         return start, location.shifted(start - anchor)

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.erasure.gf256 import GF256
 from repro.errors import UncorrectableError
-from repro.perf import PERF
 
 
 def _vandermonde(rows, cols):
@@ -85,10 +84,9 @@ class ReedSolomon:
         """
         self._check_data_shards(shards)
         length = len(shards[0])
-        with PERF.timer("rs-encode"):
-            arrays = [np.frombuffer(shard, dtype=np.uint8) for shard in shards]
-            parity = self._encode_arrays(arrays, length)
-            return [row.tobytes() for row in parity]
+        arrays = [np.frombuffer(shard, dtype=np.uint8) for shard in shards]
+        parity = self._encode_arrays(arrays, length)
+        return [row.tobytes() for row in parity]
 
     def encode_stripes(self, data_matrix):
         """Batched encode: (k, L) uint8 matrix in, (m, L) parity out.
@@ -104,8 +102,7 @@ class ReedSolomon:
                 "expected a (%d, L) data matrix, got shape %r"
                 % (self.data_shards, getattr(matrix, "shape", None))
             )
-        with PERF.timer("rs-encode"):
-            return self._encode_arrays(list(matrix), matrix.shape[1])
+        return self._encode_arrays(list(matrix), matrix.shape[1])
 
     def encode_reference(self, shards):
         """Seed implementation (allocating exp/log kernels): the oracle."""
@@ -159,34 +156,33 @@ class ReedSolomon:
             raise UncorrectableError(
                 "only %d shards survive, need %d" % (len(chosen), self.data_shards)
             )
-        with PERF.timer("rs-decode"):
-            submatrix = [self._matrix[index] for index in chosen]
-            inverse = GF256.matinv(submatrix)
-            survivor_arrays = [
-                np.frombuffer(shards[index], dtype=np.uint8) for index in chosen
-            ]
-            scratch, _parity = self._buffers(length)
-            data_arrays = []
-            for row in inverse:
-                accumulator = np.zeros(length, dtype=np.uint8)
-                for coefficient, array in zip(row, survivor_arrays):
-                    GF256.addmul_array(
-                        accumulator, array, coefficient, scratch=scratch
-                    )
-                data_arrays.append(accumulator)
-            result = list(shards)
-            for index in range(self.data_shards):
-                result[index] = data_arrays[index].tobytes()
-            for index in missing:
-                if index < self.data_shards:
-                    continue
-                row = self._matrix[index]
-                accumulator = np.zeros(length, dtype=np.uint8)
-                for coefficient, array in zip(row, data_arrays):
-                    GF256.addmul_array(
-                        accumulator, array, coefficient, scratch=scratch
-                    )
-                result[index] = accumulator.tobytes()
+        submatrix = [self._matrix[index] for index in chosen]
+        inverse = GF256.matinv(submatrix)
+        survivor_arrays = [
+            np.frombuffer(shards[index], dtype=np.uint8) for index in chosen
+        ]
+        scratch, _parity = self._buffers(length)
+        data_arrays = []
+        for row in inverse:
+            accumulator = np.zeros(length, dtype=np.uint8)
+            for coefficient, array in zip(row, survivor_arrays):
+                GF256.addmul_array(
+                    accumulator, array, coefficient, scratch=scratch
+                )
+            data_arrays.append(accumulator)
+        result = list(shards)
+        for index in range(self.data_shards):
+            result[index] = data_arrays[index].tobytes()
+        for index in missing:
+            if index < self.data_shards:
+                continue
+            row = self._matrix[index]
+            accumulator = np.zeros(length, dtype=np.uint8)
+            for coefficient, array in zip(row, data_arrays):
+                GF256.addmul_array(
+                    accumulator, array, coefficient, scratch=scratch
+                )
+            result[index] = accumulator.tobytes()
         return [bytes(shard) for shard in result]
 
     def verify(self, shards):

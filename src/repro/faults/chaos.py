@@ -39,7 +39,6 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.perf import PERF
 from repro.sim.rand import RandomStream
 
 
@@ -173,7 +172,6 @@ class ChaosHarness:
 
     def _violate(self, invariant, detail):
         self.report.violations.append((invariant, detail))
-        PERF.incr("chaos-invariant-violation")
         raise InvariantViolation(invariant, detail)
 
     # ------------------------------------------------------------------
@@ -198,14 +196,12 @@ class ChaosHarness:
     def _recover(self):
         """Fail the controller over the surviving substrate."""
         self.report.crashes += 1
-        PERF.incr("chaos-crash")
         self._collect_ladder_states()
         shelf, boot_region, clock = self.array.crash()
         before = clock.now
-        with PERF.timer("chaos-recovery"):
-            array, _report = PurityArray.recover(
-                self.config, shelf, boot_region, clock, obs=self.obs
-            )
+        array, _report = PurityArray.recover(
+            self.config, shelf, boot_region, clock, obs=self.obs
+        )
         downtime = clock.now - before
         self.report.recoveries += 1
         self.report.downtimes.append(downtime)
@@ -273,7 +269,6 @@ class ChaosHarness:
             if self.array.drives[name].failed:
                 self.array.replace_drive(name)
                 self.report.drives_replaced += 1
-                PERF.incr("chaos-drive-replaced")
         self.injector.refresh_drives()
 
     def _maintenance(self):
@@ -302,10 +297,8 @@ class ChaosHarness:
                 # Scrub last: maintenance exits with the array verified
                 # clean, so two destructive faults always have a repair
                 # between them.
-                scrub = self.array.scrub()
+                self.array.scrub()
                 self.report.scrub_passes += 1
-                if scrub.corrupt_shards or scrub.parity_mismatches:
-                    PERF.incr("chaos-scrub-found-damage")
                 return
             except InjectedCrashError:
                 self._recover()
@@ -375,7 +368,6 @@ class ChaosHarness:
                     # crashpoint hit by a flush a read triggered).
                     self._recover()
                 self.report.ops += 1
-                PERF.incr("chaos-op")
                 if self.obs.tracing and (op + 1) % self.SAMPLE_EVERY == 0:
                     self.array.observe_sample()
                 if (op + 1) % self.maintenance_every == 0:
@@ -399,7 +391,6 @@ class ChaosHarness:
             # and a client write was refused instead of being accepted
             # into an unprotectable stripe.
             self.report.data_loss = str(exc)
-            PERF.incr("chaos-data-loss-detected")
             if not self.expect_data_loss:
                 self._violate(
                     "survivable-schedule-survived",

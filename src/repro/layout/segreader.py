@@ -20,7 +20,6 @@ from repro.core.config import (
 )
 from repro.errors import DeviceFailedError, UncorrectableError
 from repro.layout.segment import SegioHeader
-from repro.perf import PERF
 
 
 class DriveRetryStats:
@@ -122,7 +121,6 @@ class SegmentReader:
             if drive.failed:
                 break  # the health monitor auto-failed it under us
             self.stats_for(drive.name).attempts += 1
-            PERF.incr("segread-retry")
             backoff = self.retry_backoff * (2 ** attempts)
             attempts += 1
             result = drive.read(offset, length)
@@ -131,7 +129,6 @@ class SegmentReader:
                 health.note_stalled(drive.name)
         if result.corrupted:
             self.stats_for(drive.name).exhausted += 1
-            PERF.incr("segread-retry-exhausted")
             if health is not None:
                 health.note_corrupted(drive.name, region=region)
                 health.note_exhausted(drive.name, region=region)

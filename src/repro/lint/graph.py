@@ -172,7 +172,7 @@ def _const_info(value: ast.AST) -> Dict[str, Any]:
                 info["parts"] = [{"elems": elements}]
             return info
         # Any other call produces an object we treat as mutable module
-        # state when bound at module scope (e.g. ``PERF = PerfCounters()``).
+        # state when bound at module scope (e.g. ``REGISTRY = Registry()``).
         return {"kind": "instance"}
     return {"kind": "const"}
 

@@ -15,8 +15,7 @@ registries, so drift is a lint failure instead of a confusing report:
 * ``<cp>.hit("name", ...)``              -> ``CRASHPOINTS``
 
 Non-literal names are skipped (they cannot be resolved statically), as
-are the registry modules themselves and :mod:`repro.perf` counters
-(a separate, wall-clock-side namespace).
+are the registry modules themselves.
 """
 
 import ast
@@ -27,7 +26,6 @@ from repro.lint.rule import Rule, register
 METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "series"})
 
 #: Receivers whose counter()/gauge() calls target the MetricsRegistry.
-#: (Excludes PERF — repro.perf counters are a wall-clock-side namespace.)
 METRIC_RECEIVERS = frozenset({"metrics", "registry"})
 
 #: The registry modules themselves (definitions, not call sites).

@@ -10,14 +10,17 @@ when the tail spiked, which injected fault caused which latency cliff.
   seed replays to a byte-identical trace;
 * :mod:`repro.obs.metrics` — one registry of counters, gauges,
   log-bucket latency histograms, and time series (the one source of
-  ``io.<op>.latency`` truth), unifying with the :mod:`repro.perf`
-  hot-path counters under one namespace;
+  ``io.<op>.latency`` truth), per :class:`Observability` instance;
 * :mod:`repro.obs.export` — deterministic JSONL snapshots of traces and
   metrics;
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` renders
   per-stage latency tables, gauge series, and the fault-correlation
   view that joins :class:`~repro.faults.injector.FaultInjector` events
   onto latency spikes.
+
+obs is the sim-time instrument; host time per layer comes from
+perfbench's tracer, which wraps live instances from outside the
+package, so nothing under ``repro`` reads the host clock.
 
 Tracing is off by default and costs a single flag check per
 instrumented site (no allocation); enable it with

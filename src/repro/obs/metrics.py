@@ -12,14 +12,11 @@ One namespace for every number the simulation reports:
 
 Naming convention: dotted ``<subsystem>.<thing>[.<unit>]`` — e.g.
 ``io.write.latency``, ``device.queue_depth``, ``gc.segments_collected``.
-The :mod:`repro.perf` wall-clock counters join the same namespace in
-:meth:`MetricsRegistry.snapshot` under ``perf.counter.*`` and
-``perf.stage.*``; snapshots meant for deterministic export exclude the
-wall-clock stage timings (sim-time numbers replay exactly, host wall
-time does not).
+Every value is a sim-time reading or an event count of this one
+registry, so a snapshot depends only on the run that filled it. Host
+time per layer is perfbench's job (its tracer wraps the live
+instances from outside the package).
 """
-
-from repro import perf as _perf
 
 #: Histogram bucket upper bounds in seconds: 4 log-scale buckets per
 #: decade from 1 µs to ~100 s, then +inf. Fixed at import time so every
@@ -205,22 +202,13 @@ class MetricsRegistry:
 
     # -- snapshots ------------------------------------------------------
 
-    def snapshot(self, include_wall_time=True):
-        """Everything, as one sorted plain dict.
-
-        The global :mod:`repro.perf` counters join under
-        ``perf.counter.*``; with ``include_wall_time`` the per-stage
-        wall timings join under ``perf.stage.*`` (leave it off for
-        deterministic exports — wall time is not replayable).
-        """
-        perf_report = _perf.perf_report()
-        counters = {
-            name: self._counters[name].value for name in sorted(self._counters)
-        }
-        for name in sorted(perf_report["counters"]):
-            counters["perf.counter.%s" % name] = perf_report["counters"][name]
-        snapshot = {
-            "counters": counters,
+    def snapshot(self):
+        """Everything, as one sorted plain dict."""
+        return {
+            "counters": {
+                name: self._counters[name].value
+                for name in sorted(self._counters)
+            },
             "gauges": {
                 name: self._gauges[name].value for name in sorted(self._gauges)
             },
@@ -233,12 +221,6 @@ class MetricsRegistry:
                 for name in sorted(self._series)
             },
         }
-        if include_wall_time:
-            snapshot["perf.stage"] = {
-                name: dict(row)
-                for name, row in sorted(perf_report["stages"].items())
-            }
-        return snapshot
 
     def clear(self):
         self._counters.clear()

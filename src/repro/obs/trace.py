@@ -17,12 +17,10 @@ record, so the same seed emits byte-identical JSONL.
 
 Cost contract: every instrumented site is guarded by
 ``obs is not None and obs.tracing`` — one attribute test and one flag
-test, no allocation — when tracing is off. Span construction bumps the
-``obs-span`` perf counter (and events ``obs-event``), which is how the
-golden test proves the disabled hot path allocates nothing.
+test, no allocation — when tracing is off. Every span and event takes
+the next id from the buffer's ``next_id``, which is how the golden test
+proves the disabled hot path allocates nothing.
 """
-
-from repro.perf import PERF
 
 
 class Span:
@@ -121,7 +119,6 @@ class Observability:
         Callers must pair with :meth:`end` (use ``try/finally`` where
         injected crashes can unwind through the stage).
         """
-        PERF.incr("obs-span")
         buffer = self.buffer
         span = Span(buffer.next_id, self.current_span_id, name,
                     self.clock.now, attrs)
@@ -151,7 +148,6 @@ class Observability:
 
     def event(self, name, **attrs):
         """Record a point event (fault firings, crashes) in the tree."""
-        PERF.incr("obs-event")
         buffer = self.buffer
         record = {
             "type": "event",

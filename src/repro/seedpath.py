@@ -28,7 +28,6 @@ from repro.dedup.index import DedupLocation
 from repro.dedup.inline import DedupMatch, InlineDeduper
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
-from repro.perf import PERF
 from repro.units import MAX_CBLOCK, SECTOR
 
 
@@ -92,8 +91,7 @@ def _seed_record_hashes(self, segment_id, payload_offset, stored_length, data):
 
 def _seed_find_matches(self, data):
     """Seed matcher: hash every sector of the write eagerly, up front."""
-    with PERF.timer("hash"):
-        hashes = _seed_sector_hashes(data)
+    hashes = _seed_sector_hashes(data)
     total = len(hashes)
     matches = []
     claimed_until = 0

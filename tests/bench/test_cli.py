@@ -53,16 +53,6 @@ def test_same_seed_runs_are_byte_identical(tmp_path, capsys):
         ["elision_vs_tombstone", "raid_ablation"]
 
 
-def test_timings_flag_adds_wall_clock_columns(tmp_path, capsys):
-    assert _run(["--only", "raid_ablation", "--timings",
-                 "--out-dir", str(tmp_path)]) == 0
-    document = json.loads(
-        (tmp_path / "BENCH_paper_shapes.json").read_text())
-    stages = document["benches"][0].get("stages")
-    if stages:  # wall columns present exactly when --timings is on
-        assert all("total_ms" in row for row in stages.values())
-
-
 def test_check_passes_against_fresh_baseline_and_fails_after_injection(
         tmp_path, capsys):
     baseline_path = tmp_path / "bench-baseline.json"

@@ -12,7 +12,6 @@ import hashlib
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.obs.export import metrics_text, trace_text
-from repro.perf import reset_perf_counters
 from repro.sim.rand import RandomStream
 from repro.units import KIB
 
@@ -38,7 +37,6 @@ def _drive_fingerprint(array):
 
 def _run(kind):
     """Drive one workload through a bare engine or a 1-array cluster."""
-    reset_perf_counters()
     config = ClusterConfig(num_arrays=1, seed=SEED)
     stream = RandomStream(SEED).fork("cluster-differential")
     if kind == "bare":
@@ -101,7 +99,7 @@ def test_passthrough_records_no_cluster_metrics():
     cluster = Cluster(ClusterConfig(num_arrays=1, seed=SEED))
     cluster.create_volume("v0", 4 * RECORD)
     cluster.write("v0", 0, b"x" * RECORD)
-    snapshot = cluster.obs.metrics.snapshot(include_wall_time=False)
+    snapshot = cluster.obs.metrics.snapshot()
     for name, value in snapshot["counters"].items():
         if name.startswith("cluster."):
             assert value == 0, name

@@ -65,13 +65,9 @@ def test_disabled_governor_always_grants_and_touches_no_metrics():
         assert governor.grant()
     assert governor.foreground_p99() is None
     # Byte-identity guard: the disabled governor must leave the metric
-    # registry exactly as it found it. (snapshot() merges the global
-    # perf counters under ``perf.counter.*`` — only registry-local
-    # names matter here.)
+    # registry exactly as it found it.
     snapshot = obs.metrics.snapshot()
-    local = [name for name in snapshot["counters"]
-             if not name.startswith("perf.counter.")]
-    assert local == []
+    assert snapshot["counters"] == {}
     assert snapshot["gauges"] == {}
 
 

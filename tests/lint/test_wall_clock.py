@@ -32,8 +32,10 @@ def test_out_of_scope_in_tests_tree(lint_fixture):
     assert_clean(result)
 
 
-def test_perf_module_is_allowlisted(lint_fixture):
+def test_perf_module_is_flagged_like_any_src_file(lint_fixture):
+    """No src/repro file is exempt, the old profiling module included."""
     result = lint_fixture(
         "wall_clock_violation.py", RULE, dest="src/repro/perf.py"
     )
-    assert_clean(result)
+    assert len(result.findings) == 3
+    assert not result.ok

@@ -3,8 +3,8 @@
 Two runs of the same seeded workload with tracing on must emit
 byte-identical JSONL — timestamps come from the sim clock, ids from a
 per-run sequence, and JSON keys are sorted. With tracing off, the write
-hot path must construct zero spans (proved via the ``obs-span`` perf
-counter that ``Observability.begin`` bumps unconditionally).
+hot path must construct zero spans (proved via the buffer's ``next_id``,
+which ``Observability.begin`` and ``event`` bump unconditionally).
 """
 
 import pytest
@@ -13,16 +13,8 @@ from repro.core.array import PurityArray
 from repro.core.config import ArrayConfig
 from repro.faults.chaos import ChaosHarness
 from repro.obs.export import metrics_text, trace_text
-from repro.perf import PERF, reset_perf_counters
 from repro.sim.rand import RandomStream
 from repro.units import KIB
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 def _run_workload(seed, tracing):
@@ -61,20 +53,18 @@ def test_trace_covers_the_span_taxonomy():
 
 
 def test_metrics_snapshot_is_deterministic():
-    # Snapshots merge the process-global perf counters, so each run
-    # gets a clean slate — exactly what a fresh process would see.
+    # Both runs share one process: a snapshot must depend only on its
+    # own array, never on what ran before it.
     first = metrics_text(_run_workload(11, tracing=True).obs)
-    reset_perf_counters()
     second = metrics_text(_run_workload(11, tracing=True).obs)
     assert "io.write.latency" in first
     assert first == second
 
 
 def test_tracing_off_allocates_no_spans():
-    reset_perf_counters()
-    _run_workload(11, tracing=False)
-    assert PERF.counter("obs-span") == 0
-    assert PERF.counter("obs-event") == 0
+    obs = _run_workload(11, tracing=False).obs
+    assert obs.buffer.next_id == 1
+    assert obs.records == []
 
 
 def test_registry_still_records_with_tracing_off():
@@ -93,7 +83,6 @@ def test_chaos_same_seed_byte_identical_trace(tmp_path):
         return harness.export_obs(str(directory))
 
     first_trace, first_metrics = run(tmp_path / "a")
-    reset_perf_counters()
     second_trace, second_metrics = run(tmp_path / "b")
     with open(first_trace, "rb") as fh:
         a = fh.read()

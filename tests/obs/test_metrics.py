@@ -3,14 +3,6 @@
 import pytest
 
 from repro.obs.metrics import BUCKET_BOUNDS, Histogram, MetricsRegistry
-from repro.perf import PERF, reset_perf_counters
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 def test_counter_and_gauge_roundtrip():
@@ -90,20 +82,11 @@ def test_series_sampling():
     ]
 
 
-def test_snapshot_merges_perf_counters():
-    registry = MetricsRegistry()
-    registry.counter("obs.local").inc()
-    PERF.incr("some-hot-path-counter", 5)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["perf.counter.some-hot-path-counter"] == 5
-    assert snapshot["counters"]["obs.local"] == 1
-
-
-def test_snapshot_wall_time_opt_in():
-    registry = MetricsRegistry()
-    with PERF.timer("some-stage"):
-        pass
-    with_wall = registry.snapshot(include_wall_time=True)
-    without = registry.snapshot(include_wall_time=False)
-    assert "some-stage" in with_wall["perf.stage"]
-    assert "perf.stage" not in without
+def test_snapshot_holds_only_this_registrys_metrics():
+    first = MetricsRegistry()
+    first.counter("obs.local").inc()
+    second = MetricsRegistry()
+    assert first.snapshot()["counters"] == {"obs.local": 1}
+    assert second.snapshot() == {
+        "counters": {}, "gauges": {}, "histograms": {}, "series": {},
+    }

@@ -10,14 +10,6 @@ import pytest
 from repro.faults.chaos import ChaosHarness
 from repro.obs import report as R
 from repro.obs.export import load_jsonl
-from repro.perf import reset_perf_counters
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,7 @@
 import pytest
 
 from repro.obs.trace import NULL_OBS, Observability
-from repro.perf import PERF, reset_perf_counters
 from repro.sim.clock import SimClock
-
-
-@pytest.fixture(autouse=True)
-def _clean_perf():
-    reset_perf_counters()
-    yield
-    reset_perf_counters()
 
 
 @pytest.fixture
@@ -76,12 +68,12 @@ def test_span_ids_are_sequential_and_reset(obs):
     assert again.span_id == first.span_id
 
 
-def test_tracing_bumps_perf_counters(obs):
+def test_tracing_bumps_buffer_ids(obs):
     span = obs.begin("io.write")
     obs.end(span)
     obs.event("fault")
-    assert PERF.counter("obs-span") == 1
-    assert PERF.counter("obs-event") == 1
+    assert obs.buffer.next_id == 3
+    assert [record["type"] for record in obs.records] == ["span", "event"]
 
 
 def test_null_obs_is_off():
